@@ -29,7 +29,10 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph written by Write.
+// Read parses a graph written by Write. The header's edge count is only a
+// loop bound: storage grows with the edges actually read, so a header
+// claiming more edges than the file holds fails on the missing edge rather
+// than preallocating for it. Every edge passes CheckEdges.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var (
@@ -45,20 +48,33 @@ func Read(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative dimensions")
 	}
-	edges := make([]Edge, 0, m)
+	var edges []Edge
 	for i := 0; i < m; i++ {
 		var u, v int
 		var w int64
 		if _, err := fmt.Fscan(br, &u, &v, &w); err != nil {
 			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
 		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: edge %d endpoints out of range", i)
-		}
-		if w < 1 {
-			return nil, fmt.Errorf("graph: edge %d has non-positive weight", i)
-		}
-		edges = append(edges, NewEdge(u, v, w))
+		edges = append(edges, Edge{U: u, V: v, W: w})
+	}
+	if err := CheckEdges(n, edges); err != nil {
+		return nil, err
 	}
 	return New(n, edges, wf == 1), nil
+}
+
+// CheckEdges validates an edge list read from outside the program for a
+// graph on n vertices: every endpoint in [0, n) and every weight positive.
+// Both graph file formats — Read's text and the wire package's binary
+// shard — call it, so they accept exactly the same graphs.
+func CheckEdges(n int, edges []Edge) error {
+	for i, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return fmt.Errorf("graph: edge %d (%d-%d) endpoints out of range [0,%d)", i, e.U, e.V, n)
+		}
+		if e.W < 1 {
+			return fmt.Errorf("graph: edge %d (%d-%d) has non-positive weight %d", i, e.U, e.V, e.W)
+		}
+	}
+	return nil
 }

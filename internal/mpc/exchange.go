@@ -27,12 +27,13 @@ import (
 //     into the flat inbox — flat[entry.start+msgOff[j]] = msgs[j] — with no
 //     map lookups or cursor mutation on the hot path.
 //
-// After delivery a serial stats pass reads the same counters to update the
-// traffic totals and the simulated makespan: each machine is charged
-// w_i·(1/Speed_i + 1/Bandwidth_i) for the words it moved, the round costs
-// the barrier latency plus the busiest machine's charge, and capacities are
-// per machine under the cluster Profile (violations name the machine and
-// its cap).
+// After delivery a serial stats pass reads the same counters to price the
+// round: each machine is charged w_i·(1/Speed_i + 1/Bandwidth_i) for the
+// words it moved, the round costs the barrier latency plus the busiest
+// machine's charge, and the round is emitted as one barrier event (emit,
+// span.go) that Stats, the trace, the metrics and the placement estimator
+// all fold. Capacities are per machine under the cluster Profile
+// (violations name the machine and its cap).
 //
 // Because offsets are fixed in step 2 before any copying starts, the
 // delivered inbox contents and order are identical under any GOMAXPROCS
@@ -160,7 +161,6 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 		return nil, nil, c.wn.broken
 	}
 	c.stats.Rounds++
-	c.roundWire = 0
 	ins = make([][]Msg, c.k)
 
 	// Assemble the sender list in the deterministic delivery order. Plans
@@ -201,24 +201,16 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	}
 	sc.plans = plans
 	if len(plans) == 0 {
-		c.stats.Makespan += c.latency // a silent round still pays the barrier
-		if c.tr != nil {
-			// The silent round advanced the clock and paid the barrier, so
-			// it gets a record like any other — conservation over the trace
-			// must reproduce the makespan exactly.
-			c.tr.Add(trace.Round{
-				Round:    c.stats.Rounds,
-				Phase:    c.tr.Phase(),
-				Kind:     trace.KindExchange,
-				Latency:  c.latency,
-				Makespan: c.latency,
-				Argmax:   trace.None,
-				Victim:   trace.None,
-			})
-		}
-		if c.mx != nil {
-			c.observeSilentRound()
-		}
+		// A silent round advanced the clock and still pays the barrier, so
+		// it is a makespan contribution like any other.
+		c.emit(trace.Round{
+			Round:    c.stats.Rounds,
+			Kind:     trace.KindExchange,
+			Latency:  c.latency,
+			Makespan: c.latency,
+			Argmax:   trace.None,
+			Victim:   trace.None,
+		}, 0)
 		c.postRoundFaults()
 		return ins, nil, nil
 	}
@@ -335,9 +327,10 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 			return nil, nil, err
 		}
 	}
+	var wireBytes int64
 	if c.wn != nil && c.wn.active() {
 		wb, werr := c.deliverWire(flat)
-		c.roundWire = wb
+		wireBytes = wb
 		c.stats.WireBytes += wb
 		if werr != nil {
 			return nil, nil, werr
@@ -369,8 +362,6 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 			}
 		}
 	}
-	c.stats.Messages += int64(totalMsgs)
-	c.stats.TotalWords += totalWords
 	if maxRecv > c.stats.MaxRecvWords {
 		c.stats.MaxRecvWords = maxRecv
 	}
@@ -379,46 +370,49 @@ func (c *Cluster) Exchange(outs [][]Msg, outLarge []Msg) (ins [][]Msg, inLarge [
 	// machine's time, w_i · (1/Speed_i + 1/Bandwidth_i) over the words it
 	// moved (scaled by any transient slowdown window of the fault plan).
 	// The scan runs serially in slot order, so the float accumulation is
-	// deterministic under any GOMAXPROCS. Under a speculate:R placement
-	// policy the scan additionally mirrors the R slowest shards onto idle
-	// fast machines, first-copy-wins (placement.go, DESIGN.md §8); the
-	// default path below is untouched, so cap and throughput runs are
-	// bit-identical to the pre-policy accounting.
+	// deterministic under any GOMAXPROCS, and fills c.roundBusy with each
+	// slot's charge. Under a speculate:R placement policy the scan
+	// additionally mirrors the R slowest shards onto idle fast machines,
+	// first-copy-wins (placement.go, DESIGN.md §8); the default path below
+	// is untouched, so cap and throughput runs are bit-identical to the
+	// pre-policy accounting.
 	var roundMax float64
+	var specWords int64
 	argSlot := -1 // slot that set roundMax; -1 = none (all-zero words)
-	specBefore := c.stats.SpeculationWords
 	if c.specR > 0 {
-		roundMax, argSlot = c.speculateRoundMax(sc.sendWords, sc.recvWords)
+		roundMax, argSlot, specWords = c.speculateRoundMax(sc.sendWords, sc.recvWords)
 	} else {
 		for slot := 0; slot <= c.k; slot++ {
-			w := sc.sendWords[slot] + sc.recvWords[slot]
-			if w == 0 {
-				continue
+			t := 0.0
+			if w := sc.sendWords[slot] + sc.recvWords[slot]; w > 0 {
+				t = float64(w) * c.slowCost(slot)
+				c.busy[slot] += t
 			}
-			t := float64(w) * c.slowCost(slot)
-			c.busy[slot] += t
+			c.roundBusy[slot] = t
 			if t > roundMax {
 				roundMax, argSlot = t, slot
 			}
 		}
 	}
-	c.stats.Makespan += c.latency + roundMax
-	if c.tr != nil {
-		// Record before the send counters are zeroed below; the receive
-		// counters stay valid until the deferred reset.
-		c.recordExchange(totalMsgs, totalWords, roundMax, argSlot, c.stats.SpeculationWords-specBefore)
-	}
-	if c.mx != nil {
-		// Same barrier point, same live counters: the published metrics
-		// reconcile exactly with Stats and the trace record.
-		c.observeExchange(totalMsgs, totalWords, roundMax, c.stats.SpeculationWords-specBefore)
-	}
-	if c.est != nil {
-		// Adaptive placement's snapshot-and-switch: observe the round from
-		// the same live counters, recompute the shares, swap them in at the
-		// barrier. Serial, so still deterministic under any GOMAXPROCS.
-		c.adaptPlacement()
-	}
+	// The event's per-slot slices are the live counters: the send counters
+	// are zeroed below and the receive counters by the deferred reset, both
+	// after emit has handed the record to every consumer.
+	c.emit(trace.Round{
+		Round:     c.stats.Rounds,
+		Kind:      trace.KindExchange,
+		Messages:  totalMsgs,
+		Words:     totalWords,
+		WireBytes: wireBytes,
+		Latency:   c.latency,
+		MaxTime:   roundMax,
+		Makespan:  c.latency + roundMax,
+		Argmax:    slotMachine(argSlot),
+		Victim:    trace.None,
+		SpecWords: specWords,
+		SendWords: sc.sendWords,
+		RecvWords: sc.recvWords,
+		Busy:      c.roundBusy,
+	}, 0)
 	for s := range plans {
 		sc.sendWords[senderSlot(plans[s].from)] = 0
 	}

@@ -9,16 +9,18 @@ import (
 // DESIGN.md §12). Every hot-path instrument is resolved once at New, so a
 // metered round performs no registry lookups except for the per-phase words
 // counter, whose label is only known at the round barrier. A nil
-// *clusterMetrics — the Config.Metrics == nil path — is never touched: every
-// hook site is guarded by `if c.mx != nil`, so the unmetered engine executes
+// *clusterMetrics — the Config.Metrics == nil path — is never touched: the
+// barrier events reach observe only through emit's `if c.mx != nil`, and the
+// transport hooks carry the same guard, so the unmetered engine executes
 // exactly the pre-metrics instruction stream (the same contract as the nil
 // trace collector, pinned by the top-level golden and AllocsPerRun tests).
 //
-// Conservation by construction: the per-machine mpc_send_words_total
-// counters are fed from the same live counters as Stats.TotalWords, so their
-// sum equals it exactly; the per-link wire_link_write_bytes_total counters
-// (wire.InstrumentLink) sum to Stats.WireBytes on successful runs. Both laws
-// are asserted in tests.
+// Conservation by construction: observe reads the same trace.Round value
+// emit folds into Stats, so mpc_words_total, the per-machine
+// mpc_send_words_total counters, the fault_* counters and the
+// mpc_round_time sum equal their Stats fields exactly; the per-link
+// wire_link_write_bytes_total counters (wire.InstrumentLink) sum to
+// Stats.WireBytes on successful runs. These laws are asserted in tests.
 //
 // Counters are cumulative for the registry's lifetime and are deliberately
 // NOT rebased by ResetStats: one registry may serve several clusters (an
@@ -106,69 +108,52 @@ func (c *Cluster) Metrics() *metrics.Registry {
 	return c.mx.reg
 }
 
-// observeSilentRound records a barrier-only round (no sender spoke).
-func (c *Cluster) observeSilentRound() {
+// observe publishes one barrier event (emit's metrics consumer). Every
+// event lands one observation in mpc_round_time, so the histogram's sum is
+// Stats.Makespan bit-for-bit: the same additions in the same order.
+// Exchange events still have their per-slot counters live (the receive
+// counts feed the inbox histogram); replay is a recovery's replayed work
+// rounds.
+func (c *Cluster) observe(r trace.Round, replay int) {
 	mx := c.mx
-	mx.rounds.Inc()
-	mx.silent.Inc()
-	mx.roundTime.Observe(c.latency)
+	mx.roundTime.Observe(r.Makespan)
 	mx.makespan.Set(c.stats.Makespan)
-}
-
-// observeExchange records the round just charged, from the same live
-// counters the stats pass and the trace record read (it runs at the serial
-// round barrier, before the send counters are zeroed; the receive counters
-// stay valid until the deferred reset). specDelta is the round's new
-// speculation words.
-func (c *Cluster) observeExchange(totalMsgs int, totalWords int64, roundMax float64, specDelta int64) {
-	mx := c.mx
-	sc := c.exch
-	mx.rounds.Inc()
-	mx.messages.Add(int64(totalMsgs))
-	mx.words.Add(totalWords)
-	mx.specWords.Add(specDelta)
-	mx.roundTime.Observe(c.latency + roundMax)
-	mx.makespan.Set(c.stats.Makespan)
-	for slot := 0; slot <= c.k; slot++ {
-		if w := sc.sendWords[slot]; w > 0 {
-			mx.sendWords[slot].Add(int64(w))
+	switch r.Kind {
+	case trace.KindExchange:
+		mx.rounds.Inc()
+		if r.Messages == 0 {
+			mx.silent.Inc() // a barrier-only round: no sender spoke
+			return
 		}
-		if w := sc.recvWords[slot]; w > 0 {
-			mx.recvWords[slot].Add(int64(w))
+		mx.messages.Add(int64(r.Messages))
+		mx.words.Add(r.Words)
+		mx.specWords.Add(r.SpecWords)
+		for slot := 0; slot <= c.k; slot++ {
+			if w := r.SendWords[slot]; w > 0 {
+				mx.sendWords[slot].Add(int64(w))
+			}
+			if w := r.RecvWords[slot]; w > 0 {
+				mx.recvWords[slot].Add(int64(w))
+			}
+			if n := c.exch.recvCount[slot]; n > 0 {
+				mx.inbox.Observe(float64(n))
+			}
+			mx.busyTime[slot].Set(c.busy[slot])
 		}
-		if n := sc.recvCount[slot]; n > 0 {
-			mx.inbox.Observe(float64(n))
-		}
-		mx.busyTime[slot].Set(c.busy[slot])
+		// The per-phase dimension attributes traffic to the innermost open
+		// span; with no trace collector installed every round lands on the
+		// "" phase (the span stack lives on the collector). This is the one
+		// lookup the hot path performs — the phase set is small and the
+		// label dynamic.
+		mx.reg.Counter("mpc_phase_words_total", "phase", r.Phase).Add(r.Words)
+		mx.reg.Counter("mpc_phase_rounds_total", "phase", r.Phase).Inc()
+	case trace.KindCheckpoint:
+		mx.checkpoints.Add(int64(r.Checkpoints))
+		mx.replicationWords.Add(r.ReplicationWords)
+	case trace.KindRecovery:
+		mx.crashes[r.Victim].Inc()
+		mx.recoveryRounds.Add(int64(r.RecoveryRounds))
+		mx.replayRounds.Add(int64(replay))
+		mx.replicationWords.Add(r.ReplicationWords)
 	}
-	// The per-phase words dimension attributes traffic to the innermost open
-	// span; with no trace collector installed every round lands on the ""
-	// phase (the span stack lives on the collector). This is the one lookup
-	// the hot path performs — the phase set is small and the label dynamic.
-	phase := ""
-	if c.tr != nil {
-		phase = c.tr.Phase()
-	}
-	mx.reg.Counter("mpc_phase_words_total", "phase", phase).Add(totalWords)
-	mx.reg.Counter("mpc_phase_rounds_total", "phase", phase).Inc()
-}
-
-// observeCheckpoint records a checkpoint barrier's replication work.
-func (c *Cluster) observeCheckpoint(barrierWords int64, roundMax float64) {
-	mx := c.mx
-	mx.checkpoints.Inc()
-	mx.replicationWords.Add(barrierWords)
-	mx.roundTime.Observe(c.latency + roundMax)
-	mx.makespan.Set(c.stats.Makespan)
-}
-
-// observeRecovery records one victim's crash recovery: the extra barrier
-// rounds, the replayed work and the restore transfer.
-func (c *Cluster) observeRecovery(victim, rec, replayWork, restoreWords int) {
-	mx := c.mx
-	mx.crashes[victim].Inc()
-	mx.recoveryRounds.Add(int64(rec))
-	mx.replayRounds.Add(int64(replayWork))
-	mx.replicationWords.Add(int64(restoreWords))
-	mx.makespan.Set(c.stats.Makespan)
 }

@@ -110,8 +110,8 @@ func TestMetricsWireByteConservation(t *testing.T) {
 	}
 }
 
-// TestMetricsFaultCounters: checkpoint barriers, crashes, recovery rounds
-// and replication words reconcile with the Stats fault fields, and the
+// TestMetricsFaultCounters: checkpoint barriers, crashes, recovery rounds,
+// replication words and the round-time sum reconcile with Stats, and the
 // instrumented checkpointers count their snapshot/restore round trips.
 func TestMetricsFaultCounters(t *testing.T) {
 	reg := metrics.New()
@@ -145,6 +145,12 @@ func TestMetricsFaultCounters(t *testing.T) {
 	}
 	if got := counterValue(reg, "fault_replication_words_total"); got != st.ReplicationWords {
 		t.Fatalf("fault_replication_words_total = %d, Stats.ReplicationWords = %d", got, st.ReplicationWords)
+	}
+	// Every contribution — exchange rounds, checkpoint barriers and the
+	// crash recovery — is one round-time observation, so the histogram's
+	// exact sum is the makespan bit-for-bit.
+	if got := reg.Histogram("mpc_round_time", nil).Sum(); got != st.Makespan {
+		t.Fatalf("mpc_round_time sum = %v, Stats.Makespan = %v", got, st.Makespan)
 	}
 	// The victim's recovery performed a snapshot/restore round trip on top
 	// of its checkpoint-barrier snapshots.

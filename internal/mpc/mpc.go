@@ -213,6 +213,7 @@ type Cluster struct {
 	uniformCaps bool      // all small capacities equal
 	invCost     []float64 // per slot (0=large, 1+i=small): 1/Speed + 1/Bandwidth
 	busy        []float64 // per slot, accumulated simulated busy time
+	roundBusy   []float64 // per slot, the current barrier event's charge (its Busy)
 	latency     float64   // per-round synchronization cost
 
 	// Placement state (sched policy; Cap when cfg.Placement is nil).
@@ -222,9 +223,6 @@ type Cluster struct {
 	specR        int       // speculate:R redundancy dial (0 = off)
 	spec         *specScratch
 	est          *sched.Estimator // adaptive policy's online estimator (nil = static)
-	estSend      []int            // estimator observation scratch, per slot
-	estRecv      []int
-	estBusy      []float64
 
 	// Fault-injection and recovery engine (nil unless cfg.Faults is an
 	// active plan). See recover.go and DESIGN.md §7.
@@ -241,10 +239,6 @@ type Cluster struct {
 	// Transport-backed delivery state (nil = shared-memory delivery; see
 	// wirenet.go and DESIGN.md §11).
 	wn *wireNet
-
-	// roundWire is the current round's measured transport bytes, staged
-	// for the trace record (0 under shared-memory delivery).
-	roundWire int64
 }
 
 // New validates cfg, fills defaults and returns a cluster.
@@ -366,6 +360,7 @@ func (c *Cluster) applyProfile(p *Profile) error {
 		c.invCost[1+i] = 1/at(speed, i) + 1/at(bandwidth, i)
 	}
 	c.busy = make([]float64, c.k+1)
+	c.roundBusy = make([]float64, c.k+1)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"hetmpc/internal/sched"
-	"hetmpc/internal/trace"
 )
 
 // Placement-policy state (DESIGN.md §8). The policy itself only supplies
@@ -22,7 +21,7 @@ import (
 type specScratch struct {
 	w    []int     // words moved this round, per small machine
 	cost []float64 // effective per-word cost this round (slowCost)
-	eff  []float64 // effective round time after speculation
+	eff  []float64 // effective round time after speculation: the small slots of c.roundBusy
 	ord  []int     // machines with traffic, slowest shard first
 	part []int     // partner candidates, fastest first
 }
@@ -68,11 +67,10 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 	c.specR = pol.Speculation()
 	if op, ok := pol.(sched.OnlinePolicy); ok {
 		// The adaptive path: one estimator per cluster, seeded with the
-		// declared profile, plus a slot-indexed observation scratch so the
-		// per-round observe/recompute/switch adds no steady-state
-		// allocations. c.placeShare is the policy's own fresh slice here
-		// (never the capShare backing — Cap returned above), so the round
-		// barrier may overwrite it in place.
+		// declared profile; emit feeds it each exchange event at the round
+		// barrier. c.placeShare is the policy's own fresh slice here (never
+		// the capShare backing — Cap returned above), so the barrier may
+		// overwrite it in place.
 		est, err := op.NewEstimator(sched.Machines{
 			CapShare: slices.Clone(c.capShare),
 			InvCost:  slices.Clone(c.invCost[1:]),
@@ -84,9 +82,6 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		if c.mx != nil {
 			c.est.SetMetrics(c.mx.reg)
 		}
-		c.estSend = make([]int, c.k+1)
-		c.estRecv = make([]int, c.k+1)
-		c.estBusy = make([]float64, c.k+1)
 	}
 	if c.specR > c.k/2 {
 		// Every victim needs a distinct partner outside the slow set. The
@@ -99,7 +94,7 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 		c.spec = &specScratch{
 			w:    make([]int, c.k),
 			cost: make([]float64, c.k),
-			eff:  make([]float64, c.k),
+			eff:  c.roundBusy[1:],
 			ord:  make([]int, 0, c.k),
 			part: make([]int, 0, c.k),
 		}
@@ -107,55 +102,13 @@ func (c *Cluster) applyPlacement(pol sched.Policy) error {
 	return nil
 }
 
-// adaptPlacement is the snapshot-and-switch step of an adaptive placement
-// policy (sched.OnlinePolicy, DESIGN.md §10), called by Exchange at the
-// round barrier — after the serial makespan scan has charged the round,
-// while the send/receive counters are still live. It folds the round's
-// observation (words moved and busy time per slot, the same quantities a
-// trace record carries, recomputed from the same counters and costs the
-// scan used) into the EWMA estimator, then swaps the recomputed
-// throughput-style shares into c.placeShare. Every placement decision
-// inside a round therefore sees one consistent share vector, and the
-// switch happens at the same serial program point of every run — adaptive
-// placement is bit-identical under any GOMAXPROCS, traced or not (the
-// observation is rebuilt from the counters rather than taken from the
-// trace, so tracing still only observes).
-//
-// Rounds where no machine moved a word (and the silent barrier-only
-// rounds, which never reach this hook) carry no speed information and
-// leave the estimate untouched. Checkpoint barriers and crash recoveries
-// are priced outside Exchange and are deliberately not observed: their
-// traffic is the recovery protocol's, not the placement primitives'.
-func (c *Cluster) adaptPlacement() {
-	sc := c.exch
-	moved := false
-	for slot := 0; slot <= c.k; slot++ {
-		c.estSend[slot] = sc.sendWords[slot]
-		c.estRecv[slot] = sc.recvWords[slot]
-		if w := sc.sendWords[slot] + sc.recvWords[slot]; w > 0 {
-			c.estBusy[slot] = float64(w) * c.slowCost(slot)
-			moved = true
-		} else {
-			c.estBusy[slot] = 0
-		}
-	}
-	if !moved {
-		return
-	}
-	c.est.Observe(trace.Round{
-		Round:     c.stats.Rounds,
-		Kind:      trace.KindExchange,
-		SendWords: c.estSend,
-		RecvWords: c.estRecv,
-		Busy:      c.estBusy,
-	})
-	c.refreshPlaceShare()
-}
-
 // refreshPlaceShare recomputes the live placement shares from the adaptive
 // estimator's current state (in place — the snapshot the next round's
 // placement decisions will see) and re-derives the even-split fast-path
-// flag the same way applyPlacement did.
+// flag the same way applyPlacement did. emit calls it at the round barrier
+// right after the estimator observed the round: the snapshot-and-switch of
+// DESIGN.md §10, so every placement decision inside a round sees one
+// consistent share vector.
 func (c *Cluster) refreshPlaceShare() {
 	c.est.Shares(c.placeShare)
 	uniform := true
@@ -190,15 +143,17 @@ func (c *Cluster) refreshPlaceShare() {
 // The scan runs serially in deterministic order, so speculation — like the
 // rest of the makespan accounting — is bit-identical under any GOMAXPROCS.
 //
-// The second return value is the slot that set the round's clock (-1 when
-// no machine moved a word), feeding the trace's argmax attribution; the
-// float arithmetic is untouched by tracking it.
-func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
-	var roundMax float64
-	argSlot := -1
+// Besides the round's clock it returns the slot that set it (-1 when no
+// machine moved a word), feeding the event's argmax attribution, and the
+// mirrored words launched this round. Each slot's effective time is left
+// in c.roundBusy (st.eff is its small-machine view).
+func (c *Cluster) speculateRoundMax(send, recv []int) (roundMax float64, argSlot int, specWords int64) {
+	argSlot = -1
+	c.roundBusy[0] = 0
 	if w := send[0] + recv[0]; w > 0 {
 		t := float64(w) * c.slowCost(0)
 		c.busy[0] += t
+		c.roundBusy[0] = t
 		if t > roundMax {
 			roundMax, argSlot = t, 0
 		}
@@ -263,7 +218,7 @@ func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
 			if alt >= st.eff[v] {
 				continue // the copy cannot win: not launched, nothing charged
 			}
-			c.stats.SpeculationWords += int64(st.w[v])
+			specWords += int64(st.w[v])
 			st.eff[p] = alt // partner works its shard, then the copy
 			st.eff[v] = alt // victim cancelled when the copy wins
 		}
@@ -278,5 +233,5 @@ func (c *Cluster) speculateRoundMax(send, recv []int) (float64, int) {
 			roundMax, argSlot = t, 1+i
 		}
 	}
-	return roundMax, argSlot
+	return roundMax, argSlot, specWords
 }

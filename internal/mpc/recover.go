@@ -196,7 +196,6 @@ func (c *Cluster) checkpointBarrier(r int) {
 		ft.replicaWords[i] = words
 		ft.lastCkpt[i] = r
 		if words > 0 {
-			c.stats.ReplicationWords += int64(words)
 			barrierWords += int64(words)
 			ft.moved[i] += float64(words)
 			ft.moved[ft.buddy[i]] += float64(words)
@@ -205,13 +204,9 @@ func (c *Cluster) checkpointBarrier(r int) {
 	if !any {
 		return // nothing registered: no state to replicate, no barrier
 	}
-	c.stats.Checkpoints++
 	roundMax := 0.0
 	argSlot := -1
-	var busyRec []float64
-	if c.tr != nil {
-		busyRec = make([]float64, c.k+1)
-	}
+	clear(c.roundBusy)
 	for i := 0; i < c.k; i++ {
 		w := ft.moved[i]
 		if w == 0 {
@@ -222,32 +217,23 @@ func (c *Cluster) checkpointBarrier(r int) {
 		// round, so replication is priced like the round's own traffic.
 		t := w * c.slowCost(1+i)
 		c.busy[1+i] += t
-		if busyRec != nil {
-			busyRec[1+i] = t
-		}
+		c.roundBusy[1+i] = t
 		if t > roundMax {
 			roundMax, argSlot = t, 1+i
 		}
 	}
-	c.stats.Makespan += c.latency + roundMax
-	if c.mx != nil {
-		c.observeCheckpoint(barrierWords, roundMax)
-	}
-	if c.tr != nil {
-		c.tr.Add(trace.Round{
-			Round:            r,
-			Phase:            c.tr.Phase(),
-			Kind:             trace.KindCheckpoint,
-			Latency:          c.latency,
-			MaxTime:          roundMax,
-			Makespan:         c.latency + roundMax,
-			Argmax:           slotMachine(argSlot),
-			Victim:           trace.None,
-			ReplicationWords: barrierWords,
-			Checkpoints:      1,
-			Busy:             busyRec,
-		})
-	}
+	c.emit(trace.Round{
+		Round:            r,
+		Kind:             trace.KindCheckpoint,
+		Latency:          c.latency,
+		MaxTime:          roundMax,
+		Makespan:         c.latency + roundMax,
+		Argmax:           slotMachine(argSlot),
+		Victim:           trace.None,
+		ReplicationWords: barrierWords,
+		Checkpoints:      1,
+		Busy:             c.roundBusy,
+	}, 0)
 }
 
 // recoverCrashes detects the crash set of the barrier ending round r and
@@ -279,7 +265,6 @@ func (c *Cluster) recoverCrashes(r int) {
 		if !ft.crashed[i] {
 			continue
 		}
-		c.stats.Crashes++
 		buddy := ft.buddy[i]
 		replay := r - ft.lastCkpt[i]
 		var rec, replayWork, words int
@@ -315,7 +300,6 @@ func (c *Cluster) recoverCrashes(r int) {
 		t := 0.0
 		var ti, tb, replayT float64
 		if words > 0 {
-			c.stats.ReplicationWords += int64(words)
 			// slowCost prices the restore like round traffic, including
 			// any transient slowdown window covering this round.
 			ti = float64(words) * c.slowCost(1+i)
@@ -333,38 +317,30 @@ func (c *Cluster) recoverCrashes(r int) {
 			c.busy[1+i] += replayT
 			t += replayT
 		}
-		c.stats.RecoveryRounds += rec
-		c.stats.Makespan += float64(rec)*c.latency + t
 		ft.downUntil[i] = r + ft.restart[i]
-		if c.mx != nil {
-			c.observeRecovery(i, rec, replayWork, words)
+		// One event per victim: each victim's recovery is a distinct
+		// makespan contribution, so conservation stays exact even when
+		// several machines die at one barrier.
+		clear(c.roundBusy)
+		c.roundBusy[1+i] = ti + replayT
+		c.roundBusy[1+buddy] = tb
+		arg := i
+		if tb > ti+replayT {
+			arg = buddy
 		}
-		if c.tr != nil {
-			// One record per victim: each victim's recovery is a distinct
-			// makespan contribution, so conservation over the trace stays
-			// exact even when several machines die at one barrier.
-			busyRec := make([]float64, c.k+1)
-			busyRec[1+i] = ti + replayT
-			busyRec[1+buddy] += tb
-			arg := i
-			if tb > ti+replayT {
-				arg = buddy
-			}
-			c.tr.Add(trace.Round{
-				Round:            r,
-				Phase:            c.tr.Phase(),
-				Kind:             trace.KindRecovery,
-				Latency:          c.latency,
-				MaxTime:          t,
-				Makespan:         float64(rec)*c.latency + t,
-				Argmax:           arg,
-				Victim:           i,
-				Crashes:          1,
-				RecoveryRounds:   rec,
-				ReplicationWords: int64(words),
-				Busy:             busyRec,
-			})
-		}
+		c.emit(trace.Round{
+			Round:            r,
+			Kind:             trace.KindRecovery,
+			Latency:          c.latency,
+			MaxTime:          t,
+			Makespan:         float64(rec)*c.latency + t,
+			Argmax:           arg,
+			Victim:           i,
+			Crashes:          1,
+			RecoveryRounds:   rec,
+			ReplicationWords: int64(words),
+			Busy:             c.roundBusy,
+		}, replayWork)
 	}
 	for i := 0; i < c.k; i++ {
 		ft.crashed[i] = false

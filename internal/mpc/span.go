@@ -1,6 +1,10 @@
 package mpc
 
-import "hetmpc/internal/trace"
+import (
+	"slices"
+
+	"hetmpc/internal/trace"
+)
 
 // Span is a phase-scoped measurement window opened by Cluster.Span. It
 // replaces the hand-rolled `before := c.Stats()` / diff pattern: End
@@ -84,43 +88,49 @@ func slotMachine(slot int) int {
 	}
 }
 
-// recordExchange emits the trace record of the exchange round that was just
-// charged. Called only when tracing is on; it re-derives the per-slot
-// charges from the same counters and costs the makespan scan used, so the
-// recorded Busy vector matches the charged times exactly.
-func (c *Cluster) recordExchange(msgs int, words int64, roundMax float64, argSlot int, specWords int64) {
-	send := make([]int, c.k+1)
-	recv := make([]int, c.k+1)
-	busy := make([]float64, c.k+1)
-	copy(send, c.exch.sendWords)
-	copy(recv, c.exch.recvWords)
-	if c.specR > 0 {
-		if w := send[0] + recv[0]; w > 0 {
-			busy[0] = float64(w) * c.slowCost(0)
-		}
-		copy(busy[1:], c.spec.eff) // effective times after first-copy-wins
-	} else {
-		for slot := 0; slot <= c.k; slot++ {
-			if w := send[slot] + recv[slot]; w > 0 {
-				busy[slot] = float64(w) * c.slowCost(slot)
-			}
-		}
+// emit charges one makespan contribution at its serial barrier point: an
+// exchange round (silent or not), a checkpoint barrier, or one victim's
+// crash recovery. r is the contribution's only description. emit folds its
+// additive fields into Stats and hands the same value to every installed
+// consumer — the trace collector, the metrics registry and an adaptive
+// placement estimator — so Σ trace = Stats and Σ metrics = Stats hold by
+// construction rather than by reconciliation (DESIGN.md §9).
+//
+// The round clock and the running maxima (Rounds, MaxSendWords,
+// MaxRecvWords) are not contributions and stay with Exchange. r's
+// per-slot slices may alias live cluster scratch (the exchange counters,
+// c.roundBusy) that the next barrier reuses: the collector gets copies,
+// the metrics and the estimator read them before emit returns. replay is a
+// recovery's replayed work rounds, the one published figure a record does
+// not carry; 0 on every other event.
+func (c *Cluster) emit(r trace.Round, replay int) {
+	st := &c.stats
+	st.Messages += int64(r.Messages)
+	st.TotalWords += r.Words
+	st.Makespan += r.Makespan
+	st.SpeculationWords += r.SpecWords
+	st.Crashes += r.Crashes
+	st.RecoveryRounds += r.RecoveryRounds
+	st.Checkpoints += r.Checkpoints
+	st.ReplicationWords += r.ReplicationWords
+	if c.tr != nil {
+		r.Phase = c.tr.Phase()
+		rec := r
+		rec.SendWords = slices.Clone(r.SendWords)
+		rec.RecvWords = slices.Clone(r.RecvWords)
+		rec.Busy = slices.Clone(r.Busy)
+		c.tr.Add(rec)
 	}
-	c.tr.Add(trace.Round{
-		Round:     c.stats.Rounds,
-		Phase:     c.tr.Phase(),
-		Kind:      trace.KindExchange,
-		Messages:  msgs,
-		Words:     words,
-		WireBytes: c.roundWire,
-		Latency:   c.latency,
-		MaxTime:   roundMax,
-		Makespan:  c.latency + roundMax,
-		Argmax:    slotMachine(argSlot),
-		Victim:    trace.None,
-		SpecWords: specWords,
-		SendWords: send,
-		RecvWords: recv,
-		Busy:      busy,
-	})
+	if c.mx != nil {
+		c.observe(r, replay)
+	}
+	// Adaptive placement's snapshot-and-switch (DESIGN.md §10): fold the
+	// round into the estimator and swap the recomputed shares in. Rounds
+	// that moved no word carry no speed information; checkpoint and
+	// recovery traffic is the recovery protocol's, not the placement
+	// primitives', so those events are not observed.
+	if c.est != nil && r.Kind == trace.KindExchange && r.Words > 0 {
+		c.est.Observe(r)
+		c.refreshPlaceShare()
+	}
 }

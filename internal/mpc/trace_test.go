@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"hetmpc/internal/fault"
@@ -209,14 +211,24 @@ func TestTraceRecordsFaultEvents(t *testing.T) {
 		state[i] = []int{i, i}
 		c.SetCheckpointer(i, sliceCheckpointer{data: state, i: i})
 	}
+	var early []trace.Round
 	for r := 0; r < 5; r++ {
-		if _, _, err := c.Exchange(ringRound(c, 2), nil); err != nil {
+		if r == 3 {
+			// Every record kind is on the timeline by now. The engine builds
+			// each record over per-cluster scratch that later barriers
+			// overwrite; a stored record must own its slices.
+			early = deepCopyRounds(tr.Rounds())
+		}
+		if _, _, err := c.Exchange(ringRound(c, 2+r), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := c.Stats()
 	if st.Crashes != 1 || st.Checkpoints == 0 {
 		t.Fatalf("plan did not exercise the engine: %+v", st)
+	}
+	if got := tr.Rounds()[:len(early)]; !reflect.DeepEqual(got, early) {
+		t.Fatalf("later rounds rewrote earlier records:\nnow  %+v\nwas  %+v", got, early)
 	}
 	ckpts, recoveries := 0, 0
 	sum := 0.0
@@ -244,4 +256,16 @@ func TestTraceRecordsFaultEvents(t *testing.T) {
 	if words != st.TotalWords {
 		t.Fatalf("trace words %d != stats %d", words, st.TotalWords)
 	}
+}
+
+// deepCopyRounds copies a timeline, per-slot slices included.
+func deepCopyRounds(rs []trace.Round) []trace.Round {
+	out := make([]trace.Round, len(rs))
+	for i, r := range rs {
+		r.SendWords = slices.Clone(r.SendWords)
+		r.RecvWords = slices.Clone(r.RecvWords)
+		r.Busy = slices.Clone(r.Busy)
+		out[i] = r
+	}
+	return out
 }

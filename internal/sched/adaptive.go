@@ -161,8 +161,9 @@ func (e *Estimator) Reset() {
 
 // Observe folds one exchange round into the estimate. r uses the trace
 // slot convention (slot 0 = large machine, slot 1+i = small machine i);
-// only SendWords, RecvWords and Busy are read, so the simulator can pass a
-// scratch record without building a full trace. For each machine that
+// only SendWords, RecvWords and Busy are read. The simulator passes the
+// round's barrier event itself, whose slices alias engine scratch that the
+// next round reuses, so Observe reads them and keeps none. For each machine that
 // moved words this round, the measured per-word cost busy/words updates the
 // EWMA: est += alpha·(measured − est). Machines with no traffic keep their
 // estimate — a silent machine carries no speed information. With alpha = 0

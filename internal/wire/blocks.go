@@ -191,11 +191,15 @@ func readBlock(r io.Reader, want byte) (body []byte, n int64, err error) {
 	if blen > DefaultMaxPayload {
 		return nil, n, fmt.Errorf("%w: block body %d > limit %d", ErrTooLarge, blen, DefaultMaxPayload)
 	}
-	body = make([]byte, blen)
-	nn, err = io.ReadFull(r, body)
-	n += int64(nn)
+	// The body grows with the bytes actually read, not with the length the
+	// header claims: a short stream costs what it holds.
+	body, err = io.ReadAll(io.LimitReader(r, int64(blen)))
+	n += int64(len(body))
 	if err != nil {
 		return nil, n, fmt.Errorf("%w: block body: %v", ErrTruncated, err)
+	}
+	if len(body) < int(blen) {
+		return nil, n, fmt.Errorf("%w: block body %d of %d bytes", ErrTruncated, len(body), blen)
 	}
 	return body, n, nil
 }
@@ -212,11 +216,16 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	return err
 }
 
-// ReadGraph reads a whole-graph shard block written by WriteGraph.
+// ReadGraph reads a whole-graph shard block written by WriteGraph. Its
+// edges pass the same graph.CheckEdges validation as the text format; a
+// block that fails it is ErrCorrupt.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	var s Shard
 	if _, err := s.ReadFrom(r); err != nil {
 		return nil, err
+	}
+	if err := graph.CheckEdges(int(s.N), s.Edges); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return graph.New(int(s.N), s.Edges, s.Weighted), nil
 }

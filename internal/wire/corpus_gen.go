@@ -1,20 +1,26 @@
 //go:build ignore
 
-// corpus_gen regenerates the committed seed corpus of FuzzCodecRoundTrip:
+// corpus_gen regenerates the committed seed corpora of FuzzCodecRoundTrip
+// and FuzzReadGraph:
 //
 //	go run ./internal/wire/corpus_gen.go
 //
-// The seeds cover every payload kind, multi-frame streams, and the three
-// typed-error shapes (truncated, corrupt, oversized), so a plain `go test`
-// run replays all of them as regression inputs.
+// The codec seeds cover every payload kind, multi-frame streams, and the
+// three typed-error shapes (truncated, corrupt, oversized); the graph-block
+// seeds cover valid weighted, unweighted and empty graphs, edges the text
+// reader rejects (endpoint out of range, non-positive weight), a truncated
+// body, an oversized length claim and a block of the wrong kind. A plain
+// `go test` run replays all of them as regression inputs.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
+	"hetmpc/internal/graph"
 	"hetmpc/internal/wire"
 )
 
@@ -49,7 +55,36 @@ func main() {
 	}
 	seeds = append(seeds, bad(0, 0x00), bad(2, 99), bad(3, 250), bad(16, 3), bad(19, 0xFF))
 
-	dir := filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCodecRoundTrip")
+	writeCorpus("FuzzCodecRoundTrip", seeds)
+	writeCorpus("FuzzReadGraph", graphSeeds())
+}
+
+// block encodes g as a whole-graph shard block without validating it, so
+// the corpus can carry graphs ReadGraph must refuse.
+func block(g *graph.Graph) []byte {
+	var buf bytes.Buffer
+	if err := wire.WriteGraph(&buf, g); err != nil {
+		log.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func graphSeeds() [][]byte {
+	weighted := block(&graph.Graph{N: 4, Weighted: true, Edges: []graph.Edge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 3}, {U: 2, V: 3, W: 9}}})
+	return [][]byte{
+		weighted,
+		block(&graph.Graph{N: 3, Edges: []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}}),
+		block(&graph.Graph{N: 2}),
+		block(&graph.Graph{N: 2, Edges: []graph.Edge{{U: 0, V: 7, W: -3}}}), // endpoint and weight both invalid
+		block(&graph.Graph{N: 2, Edges: []graph.Edge{{U: 0, V: 1, W: 0}}}),  // non-positive weight
+		weighted[:len(weighted)-5],                                          // truncated body
+		{0x18, 0xA8, 1, 1, 0x00, 0x00, 0x00, 0x04},                          // claims a 64 MiB body, holds none
+		{0x18, 0xA8, 1, 2, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // a checkpoint block
+	}
+}
+
+func writeCorpus(target string, seeds [][]byte) {
+	dir := filepath.Join("internal", "wire", "testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}

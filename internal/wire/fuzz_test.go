@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
+
+	"hetmpc/internal/graph"
 )
 
 // FuzzCodecRoundTrip fuzzes the frame codec with raw byte streams
@@ -68,6 +71,44 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if len(rest) == 0 {
 				return
 			}
+		}
+	})
+}
+
+// FuzzReadGraph fuzzes the binary graph reader behind `hetrun -input`
+// (committed seed corpus under testdata/fuzz, regenerated by corpus_gen.go):
+// reading must never panic; every failure must be one of the typed errors;
+// every graph it accepts must pass graph.CheckEdges, the text reader's
+// validation; and WriteGraph must round-trip an accepted graph exactly.
+func FuzzReadGraph(f *testing.F) {
+	for _, g := range []*graph.Graph{graph.GNMWeighted(8, 12, 1), graph.Cycles(8, 2, 1)} {
+		var buf bytes.Buffer
+		if err := WriteGraph(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGraph(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("untyped read error %v", err)
+			}
+			return
+		}
+		if err := graph.CheckEdges(g.N, g.Edges); err != nil {
+			t.Fatalf("accepted an invalid graph: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteGraph(&buf, g); err != nil {
+			t.Fatalf("rewrite of an accepted graph: %v", err)
+		}
+		back, err := ReadGraph(&buf)
+		if err != nil {
+			t.Fatalf("re-read of a written graph: %v", err)
+		}
+		if back.N != g.N || back.Weighted != g.Weighted || !slices.Equal(back.Edges, g.Edges) {
+			t.Fatalf("round trip changed the graph:\n in: %+v\nout: %+v", g, back)
 		}
 	})
 }

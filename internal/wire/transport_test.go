@@ -3,8 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -196,6 +198,20 @@ func TestCheckpointBlockRoundTrip(t *testing.T) {
 	}
 	if _, err := got.ReadFrom(bytes.NewReader(mf)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("message frame read as block: %v, want ErrCorrupt", err)
+	}
+	// A header claiming the largest allowed body over an empty stream is
+	// truncated, and costs what the stream holds rather than what it claims.
+	claim := []byte{0x18, 0xA8, Version, blockCheckpoint, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(claim[4:], DefaultMaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = got.ReadFrom(bytes.NewReader(claim))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("empty body behind a %d-byte claim: %v, want ErrTruncated", DefaultMaxPayload, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("reading an empty body allocated %d bytes", grew)
 	}
 	if !strings.HasPrefix(ErrCorrupt.Error(), "wire:") {
 		t.Error("error strings should carry the wire: prefix")

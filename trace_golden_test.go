@@ -2,6 +2,7 @@ package hetmpc_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"hetmpc"
@@ -14,10 +15,26 @@ import (
 // fault-active clusters — and with Config.Trace nil the Stats are
 // bit-identical to the traced run (tracing observes, never perturbs), which
 // also keeps them bit-identical to the pre-refactor goldens that
-// TestUniformProfileGoldens pins.
+// TestUniformProfileGoldens pins. The traced run also carries a metrics
+// registry, whose word, fault and round-time instruments must equal the
+// matching Stats fields: every consumer folds the same barrier events.
 func TestTraceConservationGolden(t *testing.T) {
 	gW := hetmpc.ConnectedGNM(256, 2048, 7, true)
 	gU := hetmpc.GNM(256, 2048, 7)
+	placement := func(spec string) hetmpc.PlacementPolicy {
+		p, err := hetmpc.ParsePlacement(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	faults := func(spec string, k int) *hetmpc.FaultPlan {
+		p, err := hetmpc.ParseFaultPlan(spec, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 
 	flavors := []struct {
 		name string
@@ -39,6 +56,17 @@ func TestTraceConservationGolden(t *testing.T) {
 		{"faults", func() hetmpc.Config {
 			cfg := hetmpc.Config{N: 256, M: 2048, Seed: 7}
 			cfg.Faults = &hetmpc.FaultPlan{Interval: 4, CrashRate: 0.003}
+			return cfg
+		}},
+		{"speculate", func() hetmpc.Config {
+			cfg := hetmpc.Config{N: 256, M: 2048, Seed: 7, Placement: placement("speculate:2")}
+			cfg.Profile = hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
+			return cfg
+		}},
+		{"adaptive-faults", func() hetmpc.Config {
+			cfg := hetmpc.Config{N: 256, M: 2048, Seed: 7, Placement: placement("adaptive")}
+			cfg.Profile = hetmpc.StragglerProfile(cfg.DeriveK(), 2, 8)
+			cfg.Faults = faults("ckpt:4+rate:0.003", cfg.DeriveK())
 			return cfg
 		}},
 	}
@@ -68,7 +96,8 @@ func TestTraceConservationGolden(t *testing.T) {
 				// Traced run.
 				cfg := fl.cfg()
 				tr := hetmpc.NewTrace()
-				cfg.Trace = tr
+				reg := hetmpc.NewMetrics()
+				cfg.Trace, cfg.Metrics = tr, reg
 				c, err := hetmpc.NewCluster(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -99,8 +128,36 @@ func TestTraceConservationGolden(t *testing.T) {
 				if exchanges != st.Rounds {
 					t.Fatalf("trace exchange records %d != Stats.Rounds %d", exchanges, st.Rounds)
 				}
-				if fl.name == "faults" && (st.Crashes == 0 || st.Checkpoints == 0) {
+				if cfg.Faults != nil && (st.Crashes == 0 || st.Checkpoints == 0) {
 					t.Fatalf("fault flavor exercised no faults: %+v", st)
+				}
+				if cfg.Placement != nil && cfg.Placement.Speculation() > 0 && st.SpeculationWords == 0 {
+					t.Fatalf("speculation flavor launched no copies: %+v", st)
+				}
+
+				// The registry folds the same events: its totals are the
+				// Stats fields, the round-time sum bit-for-bit.
+				crashes := int64(0)
+				for i := 0; i < c.K(); i++ {
+					crashes += reg.Counter("fault_crashes_total", "machine", fmt.Sprintf("small-%d", i)).Value()
+				}
+				for _, m := range []struct {
+					name      string
+					got, want int64
+				}{
+					{"mpc_words_total", reg.Counter("mpc_words_total").Value(), st.TotalWords},
+					{"mpc_speculation_words_total", reg.Counter("mpc_speculation_words_total").Value(), st.SpeculationWords},
+					{"fault_checkpoints_total", reg.Counter("fault_checkpoints_total").Value(), int64(st.Checkpoints)},
+					{"fault_recovery_rounds_total", reg.Counter("fault_recovery_rounds_total").Value(), int64(st.RecoveryRounds)},
+					{"fault_replication_words_total", reg.Counter("fault_replication_words_total").Value(), st.ReplicationWords},
+					{"Σ fault_crashes_total", crashes, int64(st.Crashes)},
+				} {
+					if m.got != m.want {
+						t.Fatalf("%s = %d, Stats says %d", m.name, m.got, m.want)
+					}
+				}
+				if got := reg.Histogram("mpc_round_time", nil).Sum(); got != st.Makespan {
+					t.Fatalf("mpc_round_time sum %v != Stats.Makespan %v (bit-identity required)", got, st.Makespan)
 				}
 
 				// The phase summary partitions the same totals and is
